@@ -15,7 +15,7 @@ import (
 // epoch.
 type barrier struct {
 	mu       sync.Mutex
-	queue    []Entry       // pending sequential entries, seq-ascending
+	queue    fifo[*Entry]  // pending sequential entries, seq-ascending
 	minSeq   atomic.Uint64 // earliest pending/active barrier seq; 0 = none
 	active   atomic.Bool   // a sequential handler is executing
 	npending atomic.Int64
@@ -52,11 +52,13 @@ func (q *Queue) enqueueSequential(m *Message, attempt uint32, lastErr error) err
 		b.minSeq.Store(q.nextSeq.Load() + 1)
 	}
 	seq := q.nextSeq.Add(1)
-	b.queue = append(b.queue, Entry{msg: *m, seq: seq, attempt: attempt, err: lastErr})
+	// Barrier entries come from no pool: they are rare, and never
+	// recycled (see Entry.retire).
+	b.queue.push(&Entry{msg: *m, seq: seq, attempt: attempt, err: lastErr})
 	if !b.active.Load() {
 		// Exact publication. While a barrier is active its own (smaller)
 		// seq must keep gating the scans, so leave minSeq alone then.
-		b.minSeq.Store(b.queue[0].seq)
+		b.minSeq.Store(b.queue.peek().seq)
 	}
 	p := b.npending.Add(1)
 	if int(p) > b.maxPending {
@@ -81,10 +83,10 @@ func (q *Queue) tryActivateBarrier() (*Entry, bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.active.Load() || len(b.queue) == 0 {
+	if b.active.Load() || b.queue.empty() {
 		return nil, false
 	}
-	target := b.queue[0].seq
+	target := b.queue.peek().seq
 	for i := range q.shards {
 		if q.shards[i].minSeq.Load() < target {
 			return nil, false
@@ -93,9 +95,7 @@ func (q *Queue) tryActivateBarrier() (*Entry, bool) {
 	if q.inflightAll.Load() != 0 {
 		return nil, false
 	}
-	e := b.queue[0]
-	copy(b.queue, b.queue[1:])
-	b.queue = b.queue[:len(b.queue)-1]
+	e := b.queue.pop()
 	b.active.Store(true)
 	// minSeq stays at e.seq while the handler runs: every pending entry
 	// has a later seq, so the scans' barrier gate keeps the machine idle.
@@ -103,7 +103,7 @@ func (q *Queue) tryActivateBarrier() (*Entry, bool) {
 	b.npending.Add(-1)
 	q.releaseSlot()
 	b.dispatched.Add(1)
-	return &e, true
+	return e, true
 }
 
 // completeBarrier releases an active barrier and publishes the next queued
@@ -117,8 +117,8 @@ func (q *Queue) completeBarrier() {
 		panic("pdq: Complete/Release of sequential entry without active barrier")
 	}
 	b.active.Store(false)
-	if len(b.queue) > 0 {
-		b.minSeq.Store(b.queue[0].seq)
+	if !b.queue.empty() {
+		b.minSeq.Store(b.queue.peek().seq)
 	} else {
 		b.minSeq.Store(0)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"sync"
 	"time"
 	"unsafe"
 )
@@ -145,32 +146,27 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 	// acquired is the set of keys taken by earlier entries of this batch:
 	// an in-flight conflict on one of these keys is not a conflict for a
 	// later single-shard entry, because batch order serializes the two on
-	// the executing goroutine.
-	var acquired []Key
-	// The batch's entries live in one slab — one allocation and one GC
-	// object per harvest instead of one per entry, allocated lazily at
-	// the first dispatch so a gated or fully conflicted scan allocates
-	// nothing (like scanShard). The capacity is fixed at that first take
-	// (npending cannot grow under s.mu), so append never reallocates and
-	// the *Entry pointers stay valid.
-	var ents []Entry
-	take := func(n *node) *Entry {
-		if ents == nil {
+	// the executing goroutine. It starts in a stack buffer that covers
+	// ordinary batches; only an unusually key-heavy one spills to the heap.
+	var acqBuf [32]Key
+	acquired := acqBuf[:0]
+	// take hands the dispatched node itself to the batch — no copy: the
+	// node returns to its pool when the entry is resolved. The result
+	// slice is sized at the first dispatch (npending cannot grow under
+	// s.mu), so a gated or fully conflicted scan allocates nothing.
+	take := func(n *Entry) *Entry {
+		if es == nil {
 			// n itself is already unlinked, hence the +1.
 			c := int(s.npending.Load()) + 1
 			if c > max {
 				c = max
 			}
-			ents = make([]Entry, 0, c)
 			es = make([]*Entry, 0, c)
 		}
-		ents = append(ents, n.entry)
-		s.recycle(n)
-		e := &ents[len(ents)-1]
-		if t := s.tr; t != nil && e.msg.TraceID != 0 {
-			t.record(s.idx, e.msg.TraceID, TraceHarvest, e.seq, int64(len(ents)-1))
+		if t := s.tr; t != nil && n.msg.TraceID != 0 {
+			t.record(s.idx, n.msg.TraceID, TraceHarvest, n.seq, int64(len(es)))
 		}
-		return e
+		return n
 	}
 	windowHit := false
 	msgs := 0 // messages harvested: entries plus coalesced merges
@@ -188,20 +184,20 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 				windowHit = true
 				break
 			}
-			if barSeq != 0 && n.entry.seq >= barSeq {
+			if barSeq != 0 && n.seq >= barSeq {
 				// The band is seq-ascending: the rest of it is gated
 				// behind the sequential barrier (other bands may still
 				// hold earlier entries).
 				break
 			}
 			scanned++
-			next := n.next // capture: dispatch unlinks and recycles n
+			next := n.next // capture: dispatch unlinks n
 			if handled, r := q.expireIfDue(s, n, &now, expired); handled {
 				retry = retry || r
 				n = next
 				continue
 			}
-			m := &n.entry.msg
+			m := &n.msg
 			switch {
 			case m.Mode == ModeNoSync:
 				q.inflightAll.Add(1)
@@ -209,12 +205,12 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 				q.releaseSlot()
 				s.stats.dispatched++
 				s.stats.noSyncDispatched++
-				s.creditDispatch(int(b), &n.entry, &now)
+				s.creditDispatch(int(b), n, &now)
 				msgs++
 				es = append(es, take(n))
-			case n.entry.smask == 1<<s.idx:
+			case n.smask == 1<<s.idx:
 				barge := m.Mode == ModeBarge
-				kind := s.conflictBatch(q, m.Keys, n.entry.seq, acquired, barge)
+				kind := s.conflictBatch(q, m.Keys, n.seq, acquired, barge)
 				if kind != conflictNone {
 					s.countConflict(kind)
 					break
@@ -223,7 +219,7 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 				for _, k := range m.Keys {
 					s.inflight[k]++
 					if !barge {
-						s.popClaim(k, n.entry.seq)
+						s.popClaim(k, n.seq)
 					}
 				}
 				s.unlink(n)
@@ -235,14 +231,14 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 				if len(m.Keys) > 1 {
 					s.stats.multiKeyDispatched++
 				}
-				s.creditDispatch(int(b), &n.entry, &now)
+				s.creditDispatch(int(b), n, &now)
 				if !barge {
 					// A barge entry's holder may park its keys past the
 					// batch, so they never join the in-batch exception.
 					acquired = append(acquired, m.Keys...)
 				}
 				msgs++
-				e := take(n) // n is recycled here; use e from now on
+				e := take(n)
 				if q.coalesce && e.msg.Mode == ModeKeyed && e.msg.Batch != nil && e.attempt == 0 {
 					// The representative already counts against max, so the
 					// merge budget is the batch's remaining message capacity.
@@ -256,7 +252,7 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 				// batch). A lost lock race reports retry, as in scanShard.
 				ok, kind, r := q.tryDispatchCross(s, n)
 				if ok {
-					s.creditDispatch(int(b), &n.entry, &now)
+					s.creditDispatch(int(b), n, &now)
 					if m.Mode != ModeBarge {
 						acquired = append(acquired, m.Keys...)
 					}
@@ -335,7 +331,7 @@ func keyIn(acquired []Key, k Key) bool {
 // dead-letters it), and a merged deadline tightens the representative's
 // to the minimum, so Entry introspection reflects the strictest member.
 // Caller holds s.mu. Returns the first node not merged.
-func (q *Queue) coalesceRun(s *shard, e *Entry, n *node, barSeq uint64, scanned *int, budget int, now *int64) *node {
+func (q *Queue) coalesceRun(s *shard, e *Entry, n *Entry, barSeq uint64, scanned *int, budget int, now *int64) *Entry {
 	if q.coalesceMax > 0 && budget > q.coalesceMax-1 {
 		budget = q.coalesceMax - 1
 	}
@@ -343,19 +339,19 @@ func (q *Queue) coalesceRun(s *shard, e *Entry, n *node, barSeq uint64, scanned 
 		if q.window > 0 && *scanned >= q.window {
 			return n
 		}
-		if barSeq != 0 && n.entry.seq >= barSeq {
+		if barSeq != 0 && n.seq >= barSeq {
 			return n
 		}
-		m := &n.entry.msg
-		if m.Mode != ModeKeyed || n.entry.attempt != 0 ||
+		m := &n.msg
+		if m.Mode != ModeKeyed || n.attempt != 0 ||
 			!sameBatchHandler(m.Batch, e.msg.Batch) ||
 			!keysEqual(m.Keys, e.msg.Keys) {
 			return n
 		}
-		if s.headsClaims(m.Keys, n.entry.seq) != conflictNone {
+		if s.headsClaims(m.Keys, n.seq) != conflictNone {
 			return n
 		}
-		if dl := n.entry.deadline; dl != 0 {
+		if dl := n.deadline; dl != 0 {
 			if *now == 0 {
 				*now = nowNanos()
 			}
@@ -369,7 +365,7 @@ func (q *Queue) coalesceRun(s *shard, e *Entry, n *node, barSeq uint64, scanned 
 		*scanned++
 		next := n.next
 		for _, k := range m.Keys {
-			s.popClaim(k, n.entry.seq)
+			s.popClaim(k, n.seq)
 		}
 		s.unlink(n)
 		q.releaseSlot()
@@ -384,9 +380,9 @@ func (q *Queue) coalesceRun(s *shard, e *Entry, n *node, barSeq uint64, scanned 
 		}
 		*e.extra = append(*e.extra, *m)
 		if t := s.tr; t != nil && m.TraceID != 0 {
-			t.record(s.idx, m.TraceID, TraceCoalesce, n.entry.seq, int64(len(*e.extra)))
+			t.record(s.idx, m.TraceID, TraceCoalesce, n.seq, int64(len(*e.extra)))
 		}
-		s.recycle(n)
+		s.pool.put(n)
 		budget--
 		n = next
 	}
@@ -433,36 +429,42 @@ func keysEqual(a, b []Key) bool {
 }
 
 // RunBatch executes a batch from TryDequeueBatch/DequeueBatch in order
-// with the per-entry failure lifecycle of PR 3 preserved inside the
-// batch: each handler runs under Run's recovery guard, a panicking
+// with Run's per-entry failure lifecycle preserved inside the batch:
+// each handler runs under Run's recovery guard, a panicking
 // handler is Released immediately — freeing only that entry's keys, with
 // the queue's retry/dead-letter policy applied — and the remaining
-// entries still execute. Successful entries group-commit: their
-// completions are applied together when the batch finishes, taking each
-// involved shard's lock once instead of once per entry (the completion
-// analogue of the harvest's amortization), so their keys read as in
-// flight until the whole batch has run. The input slice is not
-// modified. The returned error joins the recovered *PanicErrors of
-// every failed entry (nil when all succeeded). If a handler terminates
-// the goroutine with runtime.Goexit (see ErrHandlerExited), the entries
-// already run are completed on the way out, and the never-executed
-// remainder — which did not fail and owes no retry budget — is handed
-// back to the queue at the tail with its attempt counts intact (the
-// messages forfeit their queue positions; on a bounded queue that
-// cannot re-admit them they dead-letter with ErrHandlerExited), so no
-// entry is stranded holding its keys.
+// entries still execute. Successful entries group-commit: each run of
+// consecutive successes is completed together, taking each involved
+// shard's lock once instead of once per entry (the completion analogue
+// of the harvest's amortization), when the batch finishes or just before
+// a failed entry is Released, so entries resolve in execution order and
+// a successful entry's keys read as in flight until its run commits. The
+// input slice is not modified, and every entry in it is invalid once
+// RunBatch returns (see Entry). The returned error joins the recovered
+// *PanicErrors of every failed entry (nil when all succeeded). If a
+// handler terminates the goroutine with runtime.Goexit (see
+// ErrHandlerExited), the entries already run are completed on the way
+// out, and the never-executed remainder — which did not fail and owes no
+// retry budget — is handed back to the queue at the tail with its
+// attempt counts intact (the messages forfeit their queue positions; on
+// a bounded queue that cannot re-admit them they dead-letter with
+// ErrHandlerExited), so no entry is stranded holding its keys.
 func (q *Queue) RunBatch(es []*Entry) error {
-	succ := make([]*Entry, 0, len(es)) // ran to completion, not yet resolved
-	idx := 0                           // es[idx:] have not started
+	done := 0 // es[done:idx] ran to completion, not yet resolved
+	idx := 0  // es[idx:] have not started
 	finished := false
 	defer func() {
 		if finished {
 			return
 		}
-		// Only runtime.Goexit can unwind past runHandler's recovery (and
-		// runHandler Released the entry it was unwound from): resolve
-		// everything else on the way out.
-		q.completeBatch(succ)
+		// Only runtime.Goexit can unwind past runHandler's recovery, and
+		// runHandler Released the entry it was unwound from (es[idx-1]):
+		// resolve everything else on the way out. (A misuse panic out of
+		// a resolving call also lands here; done == idx then marks the
+		// run as already committed.)
+		if done < idx {
+			q.completeBatch(es[done : idx-1])
+		}
 		for _, e := range es[idx:] {
 			q.releaseUnrun(e)
 		}
@@ -472,15 +474,16 @@ func (q *Queue) RunBatch(es []*Entry) error {
 		e := es[idx]
 		idx++
 		if pe := q.runHandler(e); pe != nil {
+			ran := es[done : idx-1]
+			done = idx
+			q.completeBatch(ran)
 			q.g.panics.Add(1)
 			q.Release(e, pe)
 			errs = append(errs, pe)
-			continue
 		}
-		succ = append(succ, e)
 	}
 	finished = true
-	q.completeBatch(succ)
+	q.completeBatch(es[done:])
 	return errors.Join(errs...)
 }
 
@@ -499,7 +502,9 @@ func (q *Queue) releaseUnrun(e *Entry) {
 	for _, m := range e.extraList() {
 		q.readmitOrDeadLetter(m, e.attempt, e.err)
 	}
-	q.finishInflight(ws, len(e.msg.Keys))
+	nkeys := len(e.msg.Keys)
+	e.retire()
+	q.finishInflight(ws, nkeys)
 }
 
 // readmitOrDeadLetter gives one never-executed message back to the
@@ -531,6 +536,7 @@ func (q *Queue) completeBatch(es []*Entry) {
 	var mask uint64
 	nkeys := 0
 	for _, e := range es {
+		e.checkLive()
 		nkeys += len(e.msg.Keys)
 		if e.msg.Mode == ModeSequential {
 			// Sequential entries only ever travel in batches of one, so
@@ -570,6 +576,9 @@ func (q *Queue) completeBatch(es []*Entry) {
 			}
 		}
 	}
+	for _, e := range es {
+		e.retire()
+	}
 	// As in finishInflight: the batch's entries retire together; the
 	// drain gate and the pending-before-inflight read order still hold.
 	if q.inflightAll.Add(-int64(len(es))) == 0 && q.drainWaiters.Load() > 0 && q.isIdle() {
@@ -581,21 +590,86 @@ func (q *Queue) completeBatch(es []*Entry) {
 	q.wakeShard(ws, nkeys)
 }
 
+// parker is one blocked consumer's wake slot: a 1-slot token channel a
+// waker signals, and one reusable timer that covers both the maturity
+// wait for delayed entries and the retry backstop. Parkers are pooled,
+// so a consumer parks and wakes without allocating.
+type parker struct {
+	ch         chan struct{}
+	t          *time.Timer
+	prev, next *parker // q.parked links; guarded by q.waitMu
+	queued     bool    // on q.parked; a waker that pops it clears this
+}
+
+var parkerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &parker{ch: make(chan struct{}, 1), t: t}
+}}
+
+// parkList is the FIFO of parked consumers, guarded by q.waitMu.
+type parkList struct {
+	head, tail *parker
+}
+
+func (l *parkList) push(p *parker) {
+	p.prev, p.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = p
+	} else {
+		l.head = p
+	}
+	l.tail = p
+	p.queued = true
+}
+
+func (l *parkList) remove(p *parker) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		l.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		l.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
+	p.queued = false
+}
+
+// wakeParkedLocked pops up to n parked consumers, oldest first, and
+// signals each; n < 0 wakes every one. A popped parker's token is always
+// delivered: its channel is drained before the consumer parks again.
+// Caller holds q.waitMu.
+func (q *Queue) wakeParkedLocked(n int) {
+	for p := q.parked.head; p != nil && n != 0; p = q.parked.head {
+		q.parked.remove(p)
+		select {
+		case p.ch <- struct{}{}:
+		default:
+		}
+		n--
+	}
+}
+
 // blockDequeue is the eventcount wait loop shared by DequeueContext and
 // DequeueBatch: run attempt until it yields, ctx is done, or the queue is
 // closed and drained. attempt reports (dispatched, inconclusive-retry)
-// exactly like tryDequeue; the generation re-check under waitMu closes
-// the scan-then-sleep race, and the timed backstop bounds the window a
-// lost cross-shard TryLock race (which leaves no eventcount bump behind)
-// can hide a dispatchable entry. When delayed entries are pending, the
-// park additionally arms a timer for the earliest maturity — the wake
-// that lets WithDelay/WithNotBefore deliver on time without any polling
-// consumer.
+// exactly like tryDequeue. A consumer that finds nothing publishes itself
+// as a waiter, re-checks the generation under waitMu (closing the
+// scan-then-sleep race), joins the parked FIFO, and sleeps on its
+// parker's token, ctx, or its timer. The timer is armed for the earliest
+// delayed-entry maturity — the wake that lets WithDelay/WithNotBefore
+// deliver on time without any polling consumer — or, after persistent
+// TryLock collisions (which leave no eventcount bump behind), for the
+// backoff that bounds how long such a lost race can hide a dispatchable
+// entry, whichever is sooner.
 func (q *Queue) blockDequeue(ctx context.Context, attempt func() (ok, retry bool)) error {
-	var stop func() bool
+	var p *parker // taken from parkerPool at the first park
 	defer func() {
-		if stop != nil {
-			stop()
+		if p != nil {
+			parkerPool.Put(p)
 		}
 	}()
 	spins := 0
@@ -610,10 +684,10 @@ func (q *Queue) blockDequeue(ctx context.Context, attempt func() (ok, retry bool
 			// the event's dispatchability fan-out, so the final
 			// completion may have woken only this consumer while others
 			// stay parked with nothing left to wake them. Each exiting
-			// consumer re-broadcasts, so close+drain reaches every
+			// consumer wakes every parker, so close+drain reaches every
 			// sleeper as a chain.
 			q.waitMu.Lock()
-			q.waitCond.Broadcast()
+			q.wakeParkedLocked(-1)
 			q.waitMu.Unlock()
 			return ErrClosed
 		}
@@ -635,60 +709,88 @@ func (q *Queue) blockDequeue(ctx context.Context, attempt func() (ok, retry bool
 			needBackstop = true
 		}
 		spins = 0
-		if stop == nil && ctx.Done() != nil {
-			stop = context.AfterFunc(ctx, func() {
-				q.waitMu.Lock()
-				q.waitCond.Broadcast()
-				q.waitMu.Unlock()
-			})
+		if p == nil {
+			p = parkerPool.Get().(*parker)
 		}
 		q.waitMu.Lock()
 		// Publish the waiter BEFORE re-checking the generation: a producer
 		// that bumps the generation and then reads waiters == 0 is thereby
 		// guaranteed (seq-cst order) that this re-check observes its bump,
-		// so skipping the broadcast cannot strand us.
+		// so skipping the wake cannot strand us.
 		q.waiters.Add(1)
-		if q.wakeSum() == g {
-			q.g.waits.Add(1)
-			var backstop *time.Timer
-			if needBackstop {
-				// Armed under waitMu: the callback's own Lock cannot
-				// proceed until Wait has parked this consumer (releasing
-				// the mutex), so the broadcast can never fire into the
-				// pre-park window and be lost.
-				backstop = time.AfterFunc(dispatchBackoff, func() {
-					q.waitMu.Lock()
-					q.waitCond.Broadcast()
-					q.waitMu.Unlock()
-				})
+		if q.wakeSum() != g {
+			q.waiters.Add(-1)
+			q.waitMu.Unlock()
+			continue
+		}
+		q.g.waits.Add(1)
+		q.parked.push(p)
+		q.waitMu.Unlock()
+
+		var d time.Duration
+		if needBackstop {
+			d = dispatchBackoff
+		}
+		timed := false // the timer is for a maturity, not the backstop
+		if wake := q.nextTimerWake(); wake != math.MaxInt64 {
+			// An overdue maturity that still yielded nothing — its entry
+			// is key-blocked or barrier-gated — degrades to the backoff
+			// cadence instead of an immediate re-fire.
+			w := time.Duration(wake - nowNanos())
+			if w <= 0 {
+				w = dispatchBackoff
 			}
-			var timed *time.Timer
-			if wake := q.nextTimerWake(); wake != math.MaxInt64 {
-				// A delayed entry is pending: park only until its
-				// maturity (same pre-park safety as the backstop). An
-				// overdue maturity that still yielded nothing — its entry
-				// is key-blocked or barrier-gated — degrades to the
-				// backoff cadence instead of an immediate re-fire.
-				d := time.Duration(wake - nowNanos())
-				if d <= 0 {
-					d = dispatchBackoff
-				}
-				timed = time.AfterFunc(d, func() {
-					q.g.timerWakeups.Add(1)
-					q.waitMu.Lock()
-					q.waitCond.Broadcast()
-					q.waitMu.Unlock()
-				})
-			}
-			q.waitCond.Wait()
-			if backstop != nil {
-				backstop.Stop()
-			}
-			if timed != nil {
-				timed.Stop()
+			if d == 0 || w < d {
+				d, timed = w, true
 			}
 		}
+		var tick <-chan time.Time
+		if d > 0 {
+			p.t.Reset(d)
+			tick = p.t.C
+		}
+		fired := false
+		select {
+		case <-p.ch:
+		case <-ctx.Done():
+		case <-tick:
+			fired = true
+			if timed {
+				q.g.timerWakeups.Add(1)
+			}
+		}
+		if tick != nil && !fired && !p.t.Stop() {
+			// The timer fired as another wake won the select: drop the
+			// tick so the next park's Reset starts clean.
+			select {
+			case <-p.t.C:
+			default:
+			}
+		}
+
+		q.waitMu.Lock()
+		signalled := !p.queued
+		if !signalled {
+			q.parked.remove(p)
+		}
 		q.waiters.Add(-1)
+		cancelled := ctx.Err() != nil
+		if signalled {
+			// Drop the token if the select did not take it (it is always
+			// sent under waitMu, so it is there by now).
+			select {
+			case <-p.ch:
+			default:
+			}
+			if cancelled {
+				// This consumer is leaving with a wake meant for a
+				// consumer that would rescan: pass it on.
+				q.wakeParkedLocked(1)
+			}
+		}
 		q.waitMu.Unlock()
+		if cancelled {
+			return ctx.Err()
+		}
 	}
 }

@@ -216,6 +216,16 @@ type Message struct {
 // Entry is a dispatched queue entry. Callers using the low-level dequeue
 // interface must resolve the entry exactly once after running the handler:
 // Complete on success, Release on failure (Run does this automatically).
+//
+// An *Entry is valid from the dequeue that returned it until its
+// resolving call (Complete, CompleteNext, Release, or the Run/RunNext/
+// RunBatch wrappers) returns. The entry is the queue's own pending-list
+// node, handed out without a copy, and resolving it returns the node to
+// its shard's pool for reuse by a later enqueue. Touching an entry after
+// that — reading Seq or Message, or resolving it again — is undefined,
+// as with an object put back into a sync.Pool; a second resolve that
+// finds the node still in the pool panics with "pdq: entry resolved
+// twice".
 type Entry struct {
 	msg       Message
 	seq       uint64 // global enqueue sequence number, for ordering and diagnostics
@@ -224,12 +234,37 @@ type Entry struct {
 	deadline  int64  // expiry instant on the scheduling clock; 0 = none
 	enqAt     int64  // admission instant on the scheduling clock, for the dispatch-latency histograms
 	attempt   uint32 // prior failed executions (0 = first dispatch)
+	free      bool   // resolved and back in its pool (see retire)
 	err       error  // error from the Release that caused this retry, if any
 
 	// extra holds the messages coalesced behind msg (WithCoalesce
 	// harvests). It is a pointer, not a slice, to keep the common
 	// uncoalesced Entry a size class smaller on the hot path.
 	extra *[]Message
+
+	// The entry is its own pending-list node: prev/next link it into a
+	// band or the delayed list while it waits, and pool is the shard pool
+	// it returns to once resolved — nil for sequential barriers and
+	// hand-built entries, which are never recycled.
+	prev, next *Entry
+	pool       *epochPool
+}
+
+// retire hands a resolved entry back to the pool it came from. It is the
+// last step of every resolving call; nothing may touch e afterwards.
+func (e *Entry) retire() {
+	if p := e.pool; p != nil {
+		p.put(e)
+	}
+}
+
+// checkLive panics on an entry that was already resolved and whose node
+// still sits in its pool — a second Complete or Release that would
+// otherwise silently retire an in-flight count it never held.
+func (e *Entry) checkLive() {
+	if e.free {
+		panic("pdq: entry resolved twice")
+	}
 }
 
 // extraList returns the coalesced messages, nil for an ordinary entry.
@@ -335,7 +370,7 @@ type Queue struct {
 	_        cpad
 	waiters  atomic.Int32
 	waitMu   sync.Mutex
-	waitCond *sync.Cond
+	parked   parkList // parked consumers, oldest first; guarded by waitMu
 
 	drainMu      sync.Mutex
 	drainWaiters atomic.Int32 // registered Drain callers (gates the empty check)
@@ -390,7 +425,6 @@ func New(opts ...Option) *Queue {
 		q.shards[i].tr = q.tr
 	}
 	q.space = sync.NewCond(&q.spaceMu)
-	q.waitCond = sync.NewCond(&q.waitMu)
 	return q
 }
 
@@ -643,15 +677,9 @@ func (q *Queue) enqueueSharded(m *Message, attempt uint32, lastErr error) (*shar
 			t.record(home, m.TraceID, TraceClaimJoin, seq, int64(len(m.Keys)))
 		}
 	}
-	n := h.newNode()
-	n.entry = Entry{msg: *m, seq: seq, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos()}
-	if !m.NotBefore.IsZero() {
-		n.entry.notBefore = toNanos(m.NotBefore)
-	}
-	if !m.Deadline.IsZero() {
-		n.entry.deadline = toNanos(m.Deadline)
-	}
-	if n.entry.notBefore != 0 {
+	n := h.newEntry(m, smask, attempt, lastErr)
+	n.seq = seq
+	if n.notBefore != 0 {
 		// Scheduled delivery: park on the home shard's timer heap.
 		// Claims stay registered, so the entry keeps its per-key queue
 		// position while it sleeps. An already-ripe NotBefore still takes
@@ -786,7 +814,9 @@ func (q *Queue) Complete(e *Entry) {
 	if t := q.tr; t != nil && e.msg.TraceID != 0 {
 		t.record(q.shardFromMask(e.smask).idx, e.msg.TraceID, TraceComplete, e.seq, 0)
 	}
-	q.finishInflight(ws, len(e.msg.Keys))
+	nkeys := len(e.msg.Keys)
+	e.retire()
+	q.finishInflight(ws, nkeys)
 }
 
 // CompleteNext completes e like Complete and then attempts a chain
@@ -839,6 +869,7 @@ func (q *Queue) CompleteNext(e *Entry) (next *Entry, ok bool) {
 			}
 		}
 	}
+	e.retire()
 	q.finishInflight(ws, nkeys)
 	return next, ok
 }
@@ -862,6 +893,7 @@ func keySetsOverlap(a, b []Key) bool {
 // sequential entries). It is the half of completion shared by Complete
 // and Release; neither counting nor waking happens here.
 func (q *Queue) releaseEntryState(e *Entry) *shard {
+	e.checkLive()
 	switch e.msg.Mode {
 	case ModeSequential:
 		q.completeBarrier()
@@ -922,7 +954,7 @@ func (q *Queue) Close() {
 	q.spaceMu.Unlock()
 	q.extraGen.Add(1)
 	q.waitMu.Lock()
-	q.waitCond.Broadcast()
+	q.wakeParkedLocked(-1)
 	q.waitMu.Unlock()
 	if q.notify != nil {
 		q.notify()
@@ -985,22 +1017,16 @@ func (q *Queue) notifyEmpty() {
 // handlers, broadcasting every completion turns the idle consumers into a
 // thundering herd that rescans the conflicted backlog on a core the
 // critical chain needs. Boundedness cannot strand a dispatchable entry: a
-// consumer that misses a Signal because it had not parked yet re-checks
+// consumer that misses a wake because it had not parked yet re-checks
 // the generation sum under waitMu and skips the park, and a woken
 // consumer that loses its entry to an active one simply parks again —
 // the entry is in flight either way. It must not be called with any
 // shard lock held (the notify hook may be arbitrary).
 func (q *Queue) wakeShard(s *shard, n int) {
 	s.wakeGen.Add(1)
-	if w := q.waiters.Load(); w > 0 {
+	if q.waiters.Load() > 0 {
 		q.waitMu.Lock()
-		if n >= int(w) {
-			q.waitCond.Broadcast()
-		} else {
-			for i := 0; i < n; i++ {
-				q.waitCond.Signal()
-			}
-		}
+		q.wakeParkedLocked(n)
 		q.waitMu.Unlock()
 	}
 	if q.notify != nil {
@@ -1014,7 +1040,7 @@ func (q *Queue) wakeGlobal() {
 	q.extraGen.Add(1)
 	if q.waiters.Load() > 0 {
 		q.waitMu.Lock()
-		q.waitCond.Broadcast()
+		q.wakeParkedLocked(-1)
 		q.waitMu.Unlock()
 	}
 	if q.notify != nil {

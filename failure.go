@@ -59,7 +59,9 @@ func (q *Queue) Release(e *Entry, err error) {
 	for _, m := range e.extraList() {
 		q.resolveFailed(m, e.attempt, err)
 	}
-	q.finishInflight(ws, len(e.msg.Keys))
+	nkeys := len(e.msg.Keys)
+	e.retire()
+	q.finishInflight(ws, nkeys)
 }
 
 // resolveFailed routes one released message through the failure policy:
@@ -180,6 +182,7 @@ func (q *Queue) RunNext(e *Entry) (next *Entry, ok bool, err error) {
 // keys as the goroutine unwinds — the returned flag distinguishes the
 // two and the entry is Released before the Goexit continues.
 func (q *Queue) runHandler(e *Entry) (pe *PanicError) {
+	e.checkLive() // outside the guard: misuse is not a handler failure
 	returned := false
 	defer func() {
 		if r := recover(); r != nil {
@@ -190,7 +193,7 @@ func (q *Queue) runHandler(e *Entry) (pe *PanicError) {
 			q.Release(e, ErrHandlerExited)
 		}
 	}()
-	m := e.Message()
+	m := &e.msg
 	t := q.tr
 	if t != nil && m.TraceID != 0 {
 		t.record(q.shardFromMask(e.smask).idx, m.TraceID, TraceHandlerStart, e.seq, int64(e.attempt))

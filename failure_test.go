@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"log"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -468,5 +469,80 @@ func TestGoexitBypassesRetry(t *testing.T) {
 	pool.Wait() // the dead worker's deferred wg.Done ran during unwinding
 	if s := q.Stats(); s.Retries != 0 || s.DeadLettered != 1 {
 		t.Fatalf("stats = retries %d deadLettered %d, want 0 1", s.Retries, s.DeadLettered)
+	}
+}
+
+// resolveCalls names the resolving calls the double-resolve regression
+// mixes; each takes a dispatched entry and resolves it.
+var resolveCalls = []struct {
+	name string
+	do   func(q *Queue, e *Entry)
+}{
+	{"Complete", func(q *Queue, e *Entry) { q.Complete(e) }},
+	{"Release", func(q *Queue, e *Entry) { q.Release(e, errors.New("boom")) }},
+	{"Run", func(q *Queue, e *Entry) { _ = q.Run(e) }},
+	{"RunBatch", func(q *Queue, e *Entry) { _ = q.RunBatch([]*Entry{e}) }},
+	{"CompleteNext", func(q *Queue, e *Entry) {
+		if next, ok := q.CompleteNext(e); ok {
+			q.Complete(next)
+		}
+	}},
+}
+
+// resolvePanic runs do and returns the value it panicked with, nil if none.
+func resolvePanic(do func()) (v any) {
+	defer func() { v = recover() }()
+	do()
+	return nil
+}
+
+// TestResolveTwicePanics is the regression for resolving an entry whose
+// node is already back in its shard pool: the second Complete/Release
+// must panic instead of silently retiring an in-flight count it never
+// held. A seeded mix of key sets, modes and resolve pairs covers the
+// per-entry, batch, and chain paths; after every caught panic the queue
+// must still account correctly and keep dispatching.
+func TestResolveTwicePanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	q := New(WithShards(4), WithDeadLetter(func(Message, error) {}))
+	for i := 0; i < 300; i++ {
+		var opts []EnqueueOption
+		switch rng.Intn(4) {
+		case 0:
+			opts = append(opts, NoSync())
+		case 1: // keyless
+		case 2:
+			opts = append(opts, WithKey(Key(rng.Intn(8))))
+		default:
+			opts = append(opts, WithKeys(Key(rng.Intn(8)), Key(8+rng.Intn(8))))
+		}
+		mustEnqueue(t, q.Enqueue(func(any) {}, opts...))
+		e, ok := q.TryDequeue()
+		if !ok {
+			t.Fatalf("iteration %d: nothing dispatchable", i)
+		}
+		first := resolveCalls[rng.Intn(len(resolveCalls))]
+		again := resolveCalls[rng.Intn(len(resolveCalls))]
+		first.do(q, e)
+		v := resolvePanic(func() { again.do(q, e) })
+		if v != "pdq: entry resolved twice" {
+			t.Fatalf("iteration %d: %s then %s panicked with %v, want \"pdq: entry resolved twice\"",
+				i, first.name, again.name, v)
+		}
+		if n := q.InFlight(); n != 0 {
+			t.Fatalf("iteration %d: %s then %s left InFlight = %d, want 0", i, first.name, again.name, n)
+		}
+		if n := q.Len(); n != 0 {
+			t.Fatalf("iteration %d: %s then %s left Len = %d, want 0", i, first.name, again.name, n)
+		}
+	}
+	ran := false
+	mustEnqueue(t, q.Enqueue(func(any) { ran = true }, WithKey(3)))
+	e, ok := q.TryDequeue()
+	if !ok {
+		t.Fatal("queue stopped dispatching after the caught double resolves")
+	}
+	if err := q.Run(e); err != nil || !ran {
+		t.Fatalf("follow-up entry: err=%v ran=%v", err, ran)
 	}
 }

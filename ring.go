@@ -35,10 +35,10 @@ package pdq
 //     lock holder draining the ring may be spin-waiting on this very
 //     producer's publish — blocking on the mutex there would deadlock.
 //
-//   - Pending-list nodes are recycled through a bounded, lock-free,
-//     epoch-stamped pool (epochPool) instead of the old consumer-side
-//     free list, so ring producers allocate and recycle nodes without
-//     the shard mutex. Every pool slot carries an epoch counter that
+//   - Pending-list nodes — each one is the Entry a consumer is later
+//     handed — are recycled through a bounded, lock-free, epoch-stamped
+//     pool (epochPool), so producers take nodes and resolving consumers
+//     retire them without the shard mutex. Every pool slot carries an epoch counter that
 //     advances by the pool size each reuse cycle; a node can only be
 //     taken in the epoch after the one it was retired in, which is what
 //     makes concurrent take/retire safe without locks (a stale reader's
@@ -105,7 +105,7 @@ type cpad [64]byte
 // the cross-thread accesses.
 type ringSlot struct {
 	seq atomic.Uint64
-	n   *node
+	n   *Entry
 }
 
 // intake is a shard's MPSC publish ring. Producers share tail (their
@@ -175,14 +175,7 @@ func (q *Queue) enqueueIntake(s *shard, m *Message, smask uint64, attempt uint32
 		}
 		return ErrClosed
 	}
-	n := s.pool.get()
-	n.entry = Entry{msg: *m, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos()}
-	if !m.NotBefore.IsZero() {
-		n.entry.notBefore = toNanos(m.NotBefore)
-	}
-	if !m.Deadline.IsZero() {
-		n.entry.deadline = toNanos(m.Deadline)
-	}
+	n := s.newEntry(m, smask, attempt, lastErr)
 	if t := q.tr; t != nil && m.TraceID != 0 {
 		// Seq is not assigned yet on the ring path; the drain records
 		// TraceRingDrain with the seq once it links the entry.
@@ -200,7 +193,7 @@ func (q *Queue) enqueueIntake(s *shard, m *Message, smask uint64, attempt uint32
 // holder may itself be spin-waiting for this producer's publish.
 //
 //pdq:crossshard — the lock holder may be spin-waiting on this producer.
-func (q *Queue) publishIntake(s *shard, n *node) {
+func (q *Queue) publishIntake(s *shard, n *Entry) {
 	in := &s.in
 	pos := in.tail.Add(1) - 1
 	sl := &in.slots[pos&in.mask]
@@ -334,10 +327,10 @@ func (q *Queue) flushIntakeAll() {
 // positions), and links it mature or delayed. The npending count was
 // already taken by the producer, so linking must not re-add it. Caller
 // holds s.mu.
-func (q *Queue) linkDrained(s *shard, n *node) {
+func (q *Queue) linkDrained(s *shard, n *Entry) {
 	seq := q.nextSeq.Add(1)
-	n.entry.seq = seq
-	m := &n.entry.msg
+	n.seq = seq
+	m := &n.msg
 	if m.Mode != ModeBarge {
 		for _, k := range m.Keys {
 			s.pushClaim(k, seq)
@@ -349,7 +342,7 @@ func (q *Queue) linkDrained(s *shard, n *node) {
 			t.record(s.idx, m.TraceID, TraceClaimJoin, seq, int64(len(m.Keys)))
 		}
 	}
-	if n.entry.notBefore != 0 {
+	if n.notBefore != 0 {
 		// Route by the option, not a clock read: an entry that matured in
 		// the ring still counts as delayed (the scan's matureRipe promotes
 		// it in this same pass), matching the mutex admission path.
@@ -384,13 +377,13 @@ func (q *Queue) noteKeySet(l int) {
 // epoch.
 type poolSlot struct {
 	epoch atomic.Uint64
-	n     *node
+	n     *Entry
 }
 
 // epochPool is a bounded MPMC pool recycling pending-list nodes across
-// the producer/consumer boundary without the shard mutex: consumers
-// retire nodes as entries dispatch, ring producers take them on the
-// lock-free enqueue path. Fixed capacity replaces the old free list's
+// the producer/consumer boundary without the shard mutex: the goroutine
+// resolving an entry (Complete, Release, or their batch forms) retires
+// its node, and producers take nodes on the enqueue path. Fixed capacity replaces the old free list's
 // growth-after-burst behavior — overflow drops nodes to the GC.
 type epochPool struct {
 	slots []poolSlot
@@ -417,7 +410,7 @@ func (p *epochPool) init(size int) {
 }
 
 // get takes a recycled node, or allocates when the pool is empty.
-func (p *epochPool) get() *node {
+func (p *epochPool) get() *Entry {
 	for {
 		pos := p.head.Load()
 		sl := &p.slots[pos&p.mask]
@@ -431,17 +424,19 @@ func (p *epochPool) get() *node {
 				return n
 			}
 		case ep <= pos: // no retire has reached this slot yet: empty
-			return &node{}
+			return &Entry{}
 		default:
 			// A slower epoch transition is mid-flight; re-read.
 		}
 	}
 }
 
-// put retires a node for reuse, dropping it when the pool is full.
-func (p *epochPool) put(n *node) {
-	n.entry = Entry{}
-	n.prev, n.next = nil, nil
+// put retires a node for reuse, dropping it when the pool is full. The
+// node is cleared (so the pool pins no message payloads) and marked free
+// either way, which is what lets a second resolve of the same entry
+// panic instead of corrupting the in-flight accounting.
+func (p *epochPool) put(n *Entry) {
+	*n = Entry{free: true}
 	for {
 		pos := p.tail.Load()
 		sl := &p.slots[pos&p.mask]

@@ -314,7 +314,7 @@ func TestEpochPoolExclusive(t *testing.T) {
 				if !flag.(*atomic.Int32).CompareAndSwap(0, 1) {
 					bad.Add(1) // node handed to two holders
 				}
-				n.entry.seq = uint64(i) // touch it, so -race sees any overlap
+				n.seq = uint64(i) // touch it, so -race sees any overlap
 				flag.(*atomic.Int32).Store(0)
 				p.put(n)
 			}

@@ -159,13 +159,13 @@ func WithTTL(d time.Duration) EnqueueOption {
 // entryList is a doubly linked pending list (one per shard band, plus
 // the delayed list), maintained in ascending seq order.
 type entryList struct {
-	head, tail *node
+	head, tail *Entry
 }
 
 // append links n at the tail and reports whether it became the head.
-// Valid only when n.entry.seq exceeds the tail's (enqueue under the
+// Valid only when n.seq exceeds the tail's (enqueue under the
 // shard lock, where seqs are assigned in order).
-func (l *entryList) append(n *node) (newHead bool) {
+func (l *entryList) append(n *Entry) (newHead bool) {
 	if l.tail == nil {
 		l.head, l.tail = n, n
 		return true
@@ -179,9 +179,9 @@ func (l *entryList) append(n *node) (newHead bool) {
 // insertBySeq links n at its seq position, walking from the head — a
 // maturing delayed entry is usually older than everything still pending,
 // so the walk is short. Reports whether n became the head.
-func (l *entryList) insertBySeq(n *node) (newHead bool) {
+func (l *entryList) insertBySeq(n *Entry) (newHead bool) {
 	at := l.head
-	for at != nil && at.entry.seq < n.entry.seq {
+	for at != nil && at.seq < n.seq {
 		at = at.next
 	}
 	if at == nil {
@@ -199,7 +199,7 @@ func (l *entryList) insertBySeq(n *node) (newHead bool) {
 }
 
 // remove unlinks n and reports whether it was the head.
-func (l *entryList) remove(n *node) (wasHead bool) {
+func (l *entryList) remove(n *Entry) (wasHead bool) {
 	wasHead = n.prev == nil
 	if wasHead {
 		l.head = n.next
@@ -219,16 +219,16 @@ func (l *entryList) remove(n *node) (wasHead bool) {
 // by seq). Only push and pop-min are needed: expiry of a delayed entry
 // is detected at maturity, never by plucking it from the middle.
 type timerHeap struct {
-	ns []*node
+	ns []*Entry
 }
 
-func (h *timerHeap) len() int   { return len(h.ns) }
-func (h *timerHeap) top() *node { return h.ns[0] }
-func (h *timerHeap) before(a, b *node) bool {
-	if a.entry.notBefore != b.entry.notBefore {
-		return a.entry.notBefore < b.entry.notBefore
+func (h *timerHeap) len() int    { return len(h.ns) }
+func (h *timerHeap) top() *Entry { return h.ns[0] }
+func (h *timerHeap) before(a, b *Entry) bool {
+	if a.notBefore != b.notBefore {
+		return a.notBefore < b.notBefore
 	}
-	return a.entry.seq < b.entry.seq
+	return a.seq < b.seq
 }
 
 // nextMature returns the earliest maturity instant, or math.MaxInt64
@@ -237,10 +237,10 @@ func (h *timerHeap) nextMature() int64 {
 	if len(h.ns) == 0 {
 		return math.MaxInt64
 	}
-	return h.ns[0].entry.notBefore
+	return h.ns[0].notBefore
 }
 
-func (h *timerHeap) push(n *node) {
+func (h *timerHeap) push(n *Entry) {
 	h.ns = append(h.ns, n)
 	i := len(h.ns) - 1
 	for i > 0 {
@@ -253,7 +253,7 @@ func (h *timerHeap) push(n *node) {
 	}
 }
 
-func (h *timerHeap) pop() *node {
+func (h *timerHeap) pop() *Entry {
 	n := h.ns[0]
 	last := len(h.ns) - 1
 	h.ns[0] = h.ns[last]
@@ -282,7 +282,7 @@ func (h *timerHeap) pop() *node {
 // minimum pending seq — which gates Sequential barriers — still covers
 // it). preCounted is true for intake-ring entries, whose producer already
 // counted them into npending (see shard.link). Caller holds s.mu.
-func (s *shard) linkDelayed(n *node, preCounted bool) {
+func (s *shard) linkDelayed(n *Entry, preCounted bool) {
 	if s.delayed.append(n) {
 		s.updateMinSeq()
 	}
@@ -307,12 +307,12 @@ func (s *shard) linkDelayed(n *node, preCounted bool) {
 // protocol. Caller holds s.mu.
 func (s *shard) matureRipe(now int64) {
 	moved := false
-	for s.timers.len() > 0 && s.timers.top().entry.notBefore <= now {
+	for s.timers.len() > 0 && s.timers.top().notBefore <= now {
 		n := s.timers.pop()
 		s.delayed.remove(n)
-		s.bands[n.entry.msg.Priority].insertBySeq(n)
-		if t := s.tr; t != nil && n.entry.msg.TraceID != 0 {
-			t.record(s.idx, n.entry.msg.TraceID, TraceMature, n.entry.seq, 0)
+		s.bands[n.msg.Priority].insertBySeq(n)
+		if t := s.tr; t != nil && n.msg.TraceID != 0 {
+			t.record(s.idx, n.msg.TraceID, TraceMature, n.seq, 0)
 		}
 		moved = true
 	}
@@ -330,12 +330,12 @@ func (s *shard) matureRipe(now int64) {
 func (s *shard) updateMinSeq() {
 	min := uint64(math.MaxUint64)
 	for b := range s.bands {
-		if h := s.bands[b].head; h != nil && h.entry.seq < min {
-			min = h.entry.seq
+		if h := s.bands[b].head; h != nil && h.seq < min {
+			min = h.seq
 		}
 	}
-	if h := s.delayed.head; h != nil && h.entry.seq < min {
-		min = h.entry.seq
+	if h := s.delayed.head; h != nil && h.seq < min {
+		min = h.seq
 	}
 	s.minSeq.Store(min)
 }
@@ -408,8 +408,8 @@ func (s *shard) creditDispatch(b int, e *Entry, now *int64) {
 // holds s.mu.
 //
 //pdq:crossshard — holds s.mu while touching foreign shards.
-func (q *Queue) tryExpire(s *shard, n *node, expired *[]Message) bool {
-	e := &n.entry
+func (q *Queue) tryExpire(s *shard, n *Entry, expired *[]Message) bool {
+	e := n
 	var locked uint64
 	for m := e.smask &^ (1 << s.idx); m != 0; {
 		i := bits.TrailingZeros64(m)
@@ -435,7 +435,7 @@ func (q *Queue) tryExpire(s *shard, n *node, expired *[]Message) bool {
 	q.releaseSlot()
 	s.stats.expired++
 	*expired = append(*expired, e.msg)
-	s.recycle(n)
+	s.pool.put(n)
 	return true
 }
 
@@ -448,8 +448,8 @@ func (q *Queue) tryExpire(s *shard, n *node, expired *[]Message) bool {
 // cannot diverge. Caller holds s.mu.
 //
 //pdq:crossshard — holds s.mu; expiry may reach into foreign shards.
-func (q *Queue) expireIfDue(s *shard, n *node, now *int64, expired *[]Message) (handled, retry bool) {
-	dl := n.entry.deadline
+func (q *Queue) expireIfDue(s *shard, n *Entry, now *int64, expired *[]Message) (handled, retry bool) {
+	dl := n.deadline
 	if dl == 0 {
 		return false, false
 	}

@@ -91,13 +91,6 @@ func (s *shard) init(idx uint32, ring int) {
 	s.pool.init(nodePoolSize)
 }
 
-// node is a pending-list node. A hand-rolled list avoids container/list's
-// interface boxing on this hot path.
-type node struct {
-	entry      Entry
-	prev, next *node
-}
-
 // seqFIFO is an ordered queue of enqueue sequence numbers claiming one
 // key. Sequence numbers are assigned while every involved shard is locked,
 // so claimants of a key serialize on the key's owning shard and push in
@@ -107,23 +100,32 @@ type node struct {
 // generalization of the v2 shadow-set scan (which blocked a later entry
 // behind any earlier skipped entry sharing a key), extended so the
 // discipline holds across shards, not just within one scan.
-type seqFIFO struct {
-	buf  []uint64
+type seqFIFO = fifo[uint64]
+
+// fifo is a head-indexed queue: pop advances the head instead of shifting
+// the buffer, and the consumed prefix is reclaimed only once it outweighs
+// the live tail, so every operation is amortized O(1) however deep the
+// backlog grows. Claim queues and the sequential-barrier queue use it.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (f *seqFIFO) push(seq uint64) { f.buf = append(f.buf, seq) }
-func (f *seqFIFO) peek() uint64    { return f.buf[f.head] }
-func (f *seqFIFO) empty() bool     { return f.head == len(f.buf) }
+func (f *fifo[T]) push(v T)    { f.buf = append(f.buf, v) }
+func (f *fifo[T]) peek() T     { return f.buf[f.head] }
+func (f *fifo[T]) empty() bool { return f.head == len(f.buf) }
 
-func (f *seqFIFO) pop() uint64 {
+func (f *fifo[T]) pop() T {
 	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero // drop the reference for the GC
 	f.head++
 	if f.head == len(f.buf) {
 		f.buf = f.buf[:0]
 		f.head = 0
 	} else if f.head > 64 && f.head*2 >= len(f.buf) {
 		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
 		f.buf = f.buf[:n]
 		f.head = 0
 	}
@@ -224,8 +226,8 @@ func (s *shard) removeClaim(k Key, seq uint64) {
 // through the intake ring: its producer already added it to npending at
 // admission time (the count is what makes ring entries visible to Drain
 // and the consumers' shard-skip check before they are drained).
-func (s *shard) link(n *node, preCounted bool) {
-	if s.bands[n.entry.msg.Priority].append(n) {
+func (s *shard) link(n *Entry, preCounted bool) {
+	if s.bands[n.msg.Priority].append(n) {
 		s.updateMinSeq()
 	}
 	var p int64
@@ -240,24 +242,28 @@ func (s *shard) link(n *node, preCounted bool) {
 }
 
 // unlink removes n from its band's pending list. Caller holds s.mu.
-func (s *shard) unlink(n *node) {
-	if s.bands[n.entry.msg.Priority].remove(n) {
+func (s *shard) unlink(n *Entry) {
+	if s.bands[n.msg.Priority].remove(n) {
 		s.updateMinSeq()
 	}
 	s.npending.Add(-1)
 }
 
-// take copies the entry out of a node, recycles the node, and returns a
-// heap entry handed to the caller.
-func (s *shard) take(n *node) *Entry {
-	e := n.entry
-	s.recycle(n)
-	return &e
+// newEntry takes a node from s's pool and fills it in for the admission
+// of m; the caller assigns the sequence number (at link time on the ring
+// path). The entry records its pool, so resolving it — or expiring or
+// coalescing it away — returns the node here.
+func (s *shard) newEntry(m *Message, smask uint64, attempt uint32, lastErr error) *Entry {
+	n := s.pool.get()
+	*n = Entry{msg: *m, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos(), pool: &s.pool}
+	if !m.NotBefore.IsZero() {
+		n.notBefore = toNanos(m.NotBefore)
+	}
+	if !m.Deadline.IsZero() {
+		n.deadline = toNanos(m.Deadline)
+	}
+	return n
 }
-
-func (s *shard) newNode() *node { return s.pool.get() }
-
-func (s *shard) recycle(n *node) { s.pool.put(n) }
 
 // releaseKeys decrements the in-flight count of every key in keys on the
 // shards named by mask — the inverse of the acquisition the dispatch path
@@ -394,7 +400,7 @@ func (q *Queue) scanLocked(s *shard, expired *[]Message) (e *Entry, ok, retry bo
 				windowHit = true
 				break
 			}
-			if barSeq != 0 && n.entry.seq >= barSeq {
+			if barSeq != 0 && n.seq >= barSeq {
 				// Entries at or past a pending sequential barrier's queue
 				// position may not dispatch until the barrier completes;
 				// the band is seq-ordered, so the rest of it is blocked
@@ -408,28 +414,28 @@ func (q *Queue) scanLocked(s *shard, expired *[]Message) (e *Entry, ok, retry bo
 				n = next
 				continue
 			}
-			m := &n.entry.msg
+			m := &n.msg
 			if m.Mode == ModeNoSync {
 				q.inflightAll.Add(1)
 				s.unlink(n)
 				q.releaseSlot()
 				s.stats.dispatched++
 				s.stats.noSyncDispatched++
-				s.creditDispatch(int(b), &n.entry, &now)
-				return s.take(n), true, retry
+				s.creditDispatch(int(b), n, &now)
+				return n, true, retry
 			}
 			// ModeKeyed or ModeBarge (a keyless entry has an empty key set
 			// and no conflicts; a barge entry skips the claim-order check
 			// and has no claims to pop).
 			barge := m.Mode == ModeBarge
-			if n.entry.smask == 1<<s.idx {
-				kind := s.conflictLocal(q, m.Keys, n.entry.seq, true, barge)
+			if n.smask == 1<<s.idx {
+				kind := s.conflictLocal(q, m.Keys, n.seq, true, barge)
 				if kind == conflictNone {
 					q.inflightAll.Add(1)
 					for _, k := range m.Keys {
 						s.inflight[k]++
 						if !barge {
-							s.popClaim(k, n.entry.seq)
+							s.popClaim(k, n.seq)
 						}
 					}
 					s.unlink(n)
@@ -441,8 +447,8 @@ func (q *Queue) scanLocked(s *shard, expired *[]Message) (e *Entry, ok, retry bo
 					if len(m.Keys) > 1 {
 						s.stats.multiKeyDispatched++
 					}
-					s.creditDispatch(int(b), &n.entry, &now)
-					return s.take(n), true, retry
+					s.creditDispatch(int(b), n, &now)
+					return n, true, retry
 				}
 				s.countConflict(kind)
 				n = next
@@ -450,8 +456,8 @@ func (q *Queue) scanLocked(s *shard, expired *[]Message) (e *Entry, ok, retry bo
 			}
 			ok2, kind, r := q.tryDispatchCross(s, n)
 			if ok2 {
-				s.creditDispatch(int(b), &n.entry, &now)
-				return s.take(n), true, retry
+				s.creditDispatch(int(b), n, &now)
+				return n, true, retry
 			}
 			if r {
 				retry = true
@@ -474,8 +480,8 @@ func (q *Queue) scanLocked(s *shard, expired *[]Message) (e *Entry, ok, retry bo
 // acquired on its owning shard and the entry is unlinked from s.
 //
 //pdq:crossshard
-func (q *Queue) tryDispatchCross(s *shard, n *node) (ok bool, kind int, retry bool) {
-	e := &n.entry
+func (q *Queue) tryDispatchCross(s *shard, n *Entry) (ok bool, kind int, retry bool) {
+	e := n
 	barge := e.msg.Mode == ModeBarge
 	// Cheap local pre-check before touching other shards.
 	if kind := s.conflictLocal(q, e.msg.Keys, e.seq, false, barge); kind != conflictNone {

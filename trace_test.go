@@ -257,6 +257,9 @@ func TestTraceHandoffChain(t *testing.T) {
 	if !ok {
 		t.Fatal("expected dispatchable entry")
 	}
+	// An entry is invalid once resolved, so capture what the checks
+	// below need before each Run.
+	e1Seq := e1.Seq()
 	next, ok, err := q.RunNext(e1)
 	if err != nil {
 		t.Fatalf("RunNext: %v", err)
@@ -264,6 +267,7 @@ func TestTraceHandoffChain(t *testing.T) {
 	if !ok {
 		t.Fatal("RunNext did not hand off to the queued successor")
 	}
+	nextID, nextSeq := next.Message().TraceID, next.Seq()
 	if err := q.Run(next); err != nil {
 		t.Fatalf("Run(next): %v", err)
 	}
@@ -277,12 +281,12 @@ func TestTraceHandoffChain(t *testing.T) {
 		t.Fatalf("recorded %d handoff events, want 1", len(handoffs))
 	}
 	h := handoffs[0]
-	if h.TraceID != next.Message().TraceID {
-		t.Fatalf("handoff trace id = %d, want successor's %d", h.TraceID, next.Message().TraceID)
+	if h.TraceID != nextID {
+		t.Fatalf("handoff trace id = %d, want successor's %d", h.TraceID, nextID)
 	}
-	if h.Seq != next.Seq() || h.Arg != int64(e1.Seq()) {
+	if h.Seq != nextSeq || h.Arg != int64(e1Seq) {
 		t.Fatalf("handoff seq=%d arg=%d, want seq=%d (successor) arg=%d (predecessor)",
-			h.Seq, h.Arg, next.Seq(), e1.Seq())
+			h.Seq, h.Arg, nextSeq, e1Seq)
 	}
 }
 
