@@ -52,7 +52,9 @@
 // handler panic into Release(e, &PanicError{...}) and keeps the worker
 // alive. Manual TryDequeue/DequeueContext callers should invoke handlers
 // through Run — or replicate its Complete-or-Release discipline — so a
-// panicking handler cannot hold its keys forever.
+// panicking handler cannot hold its keys forever. The *Entry handed out
+// is the queue's own pending-list node, valid until its resolving call
+// returns: resolving recycles it (see Entry).
 //
 // # Batched dispatch
 //

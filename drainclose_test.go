@@ -139,3 +139,51 @@ func TestConcurrentDrainersAllReleased(t *testing.T) {
 		t.Fatal("not all Drain callers were released")
 	}
 }
+
+// TestRefusedRingEnqueueWakesConsumers is the regression for a wedge
+// TestDrainCloseEnqueueWaitRace hit about once in a hundred -race runs:
+// a ring-path Enqueue refused by Close counts itself pending for a
+// moment, a consumer's close+drain check sees that count and parks, and
+// the refused enqueue backed out without waking anyone, so every worker
+// slept forever on a closed, empty queue. The test pins the consumer in
+// that state — it parks after Close while a transient pending count is
+// visible — and then requires the refused enqueue's backout to wake it.
+func TestRefusedRingEnqueueWakesConsumers(t *testing.T) {
+	q := New()
+	done := make(chan error, 1)
+	go func() {
+		_, err := q.DequeueContext(context.Background())
+		done <- err
+	}()
+	waitParked(t, q, 1)
+	s := &q.shards[0]
+	s.npending.Add(1) // the refused producer's transient count
+	before := q.Stats().Waits
+	q.Close()
+	// The consumer wakes on Close, fails its close+drain check against
+	// the transient count, and parks again.
+	deadline := time.Now().Add(10 * time.Second)
+	for q.Stats().Waits == before {
+		if time.Now().After(deadline) {
+			t.Fatal("consumer never re-parked after Close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitParked(t, q, 1)
+	s.npending.Add(-1)
+	// A producer that passed admission's closed check just before Close
+	// reaches the ring's backout path, which must wake the consumer into
+	// a close+drain check that now succeeds.
+	m := Message{Keys: []Key{1}, Handler: func(any) {}}
+	if err := q.enqueueReserved(&m, 0, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ring enqueue after Close: %v, want ErrClosed", err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("DequeueContext returned %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("consumer stayed parked on a closed, drained queue")
+	}
+}

@@ -15,6 +15,16 @@
 // settle: reading an entry is not disposing of it. Discarding a
 // dequeue result outright — as a bare expression statement or into the
 // blank identifier — is always reported.
+//
+// The converse is reported too: a receiver use (e.Seq(), e.Message(),
+// es[i].Seq()) that follows a resolving call on the same variable —
+// Complete, Release, Run, RunNext, CompleteNext, or RunBatch — in the
+// same function. Resolving hands the entry's node back to the queue's
+// pool, so a later read may see another message. "Follows" is
+// structural: the use comes after the resolving statement in the same
+// statement list (or later within that statement), with no assignment
+// to the variable in between. Resolutions inside a branch, a defer, or
+// a go statement do not flag the code after them.
 package lifecycle
 
 import (
@@ -44,6 +54,17 @@ var sourceNames = map[string]bool{
 	"RunNext":         true,
 }
 
+// resolveNames are the methods that resolve the entry (or batch) passed
+// as their first argument, returning its node to the queue's pool.
+var resolveNames = map[string]bool{
+	"Complete":     true,
+	"Release":      true,
+	"Run":          true,
+	"RunNext":      true,
+	"CompleteNext": true,
+	"RunBatch":     true,
+}
+
 func run(pass *analysis.Pass) (interface{}, error) {
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f.Pos()) {
@@ -55,9 +76,163 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			checkFunc(pass, fd)
+			checkUseAfterResolve(pass, fd.Body)
 		}
 	}
 	return nil, nil
+}
+
+// checkUseAfterResolve reports receiver uses of an entry variable that
+// follow a resolving call on it. Every statement list in body is walked;
+// a resolving call that runs whenever its statement runs (not one nested
+// in a branch, loop body, closure, defer, or go statement — those lists
+// are walked on their own) flags the uses after it in the same
+// statement and in the statements that follow, up to the first
+// assignment to the variable.
+func checkUseAfterResolve(pass *analysis.Pass, body *ast.BlockStmt) {
+	reported := map[token.Pos]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			list = n.Body
+		case *ast.CommClause:
+			list = n.Body
+		default:
+			return true
+		}
+		for i, st := range list {
+			unconditionalCalls(st, func(call *ast.CallExpr) {
+				obj, name := resolvedVar(pass, call)
+				if obj == nil {
+					return
+				}
+				for _, use := range usesAfter(pass, obj, call.End(), list[i:]) {
+					if !reported[use.Pos()] {
+						reported[use.Pos()] = true
+						pass.Reportf(use.Pos(),
+							"entry %s used after %s resolved it: its node may already carry another message",
+							obj.Name(), name)
+					}
+				}
+			})
+		}
+		return true
+	})
+}
+
+// unconditionalCalls calls f for every call in st that is evaluated
+// whenever st runs to completion: nested statement lists, closures,
+// deferred and spawned calls, and the conditionally evaluated parts of
+// control statements are skipped.
+func unconditionalCalls(st ast.Stmt, f func(*ast.CallExpr)) {
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BlockStmt, *ast.FuncLit, *ast.CaseClause, *ast.CommClause,
+			*ast.DeferStmt, *ast.GoStmt, *ast.SelectStmt:
+			return false
+		case *ast.IfStmt:
+			inspectStmt(n.Init, visit)
+			ast.Inspect(n.Cond, visit)
+			return false
+		case *ast.ForStmt:
+			inspectStmt(n.Init, visit)
+			return false
+		case *ast.RangeStmt:
+			ast.Inspect(n.X, visit)
+			return false
+		case *ast.SwitchStmt:
+			inspectStmt(n.Init, visit)
+			if n.Tag != nil {
+				ast.Inspect(n.Tag, visit)
+			}
+			return false
+		case *ast.TypeSwitchStmt:
+			inspectStmt(n.Init, visit)
+			ast.Inspect(n.Assign, visit)
+			return false
+		case *ast.CallExpr:
+			f(n)
+		}
+		return true
+	}
+	ast.Inspect(st, visit)
+}
+
+func inspectStmt(st ast.Stmt, visit func(ast.Node) bool) {
+	if st != nil {
+		ast.Inspect(st, visit)
+	}
+}
+
+// resolvedVar returns the entry variable a resolving call settles — its
+// first argument, when that is a plain identifier of entry type — and
+// the method name; nil when call resolves nothing trackable.
+func resolvedVar(pass *analysis.Pass, call *ast.CallExpr) (types.Object, string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !resolveNames[sel.Sel.Name] || len(call.Args) == 0 {
+		return nil, ""
+	}
+	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+	if !ok {
+		return nil, ""
+	}
+	obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	if !ok || !isEntryType(obj.Type()) {
+		return nil, ""
+	}
+	return obj, sel.Sel.Name
+}
+
+// usesAfter returns the receiver uses of obj (obj.X, obj[i].X) in region
+// positioned after from and before the end of the first assignment to
+// obj that completes after from.
+func usesAfter(pass *analysis.Pass, obj types.Object, from token.Pos, region []ast.Stmt) []ast.Node {
+	is := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && pass.TypesInfo.Uses[id] == obj
+	}
+	kill := token.NoPos
+	for _, st := range region {
+		ast.Inspect(st, func(n ast.Node) bool {
+			var lhs []ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				lhs = n.Lhs
+			case *ast.RangeStmt:
+				lhs = []ast.Expr{n.Key, n.Value}
+			default:
+				return true
+			}
+			for _, l := range lhs {
+				if l != nil && is(l) && n.End() >= from && (kill == token.NoPos || n.End() < kill) {
+					kill = n.End()
+				}
+			}
+			return true
+		})
+	}
+	var uses []ast.Node
+	for _, st := range region {
+		ast.Inspect(st, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Pos() < from || (kill != token.NoPos && sel.Pos() >= kill) {
+				return true
+			}
+			x := sel.X
+			if ix, ok := ast.Unparen(x).(*ast.IndexExpr); ok {
+				x = ix.X
+			}
+			if is(x) {
+				uses = append(uses, sel)
+			}
+			return true
+		})
+	}
+	return uses
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {

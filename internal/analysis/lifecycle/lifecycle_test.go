@@ -10,3 +10,7 @@ import (
 func TestLifecycle(t *testing.T) {
 	analysistest.Run(t, ".", lifecycle.Analyzer, "leaked")
 }
+
+func TestUseAfterResolve(t *testing.T) {
+	analysistest.Run(t, ".", lifecycle.Analyzer, "resolved")
+}

@@ -13,11 +13,11 @@ import (
 // On a sharded queue (WithShards), workers self-distribute across shards:
 // each dispatch attempt starts its shard sweep at a rotating offset, so
 // n >= Queue.Shards() workers keep every shard's dispatch lane busy.
-// Workers also drive the queue's scheduler (sched.go): an idle worker
-// parks with a timer for the earliest delayed-entry maturity, so
+// Workers also drive the queue's scheduler (sched.go): a parked worker
+// is woken at the earliest delayed-entry maturity, so
 // WithDelay/WithNotBefore messages dispatch on time — and expired
 // messages reach the dead-letter hook — without any polling, as long as
-// the pool is running.
+// the pool is running. Parking and waking allocate nothing.
 type Pool struct {
 	workerSet
 	q *Queue

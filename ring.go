@@ -38,12 +38,12 @@ package pdq
 //   - Pending-list nodes — each one is the Entry a consumer is later
 //     handed — are recycled through a bounded, lock-free, epoch-stamped
 //     pool (epochPool), so producers take nodes and resolving consumers
-//     retire them without the shard mutex. Every pool slot carries an epoch counter that
-//     advances by the pool size each reuse cycle; a node can only be
-//     taken in the epoch after the one it was retired in, which is what
-//     makes concurrent take/retire safe without locks (a stale reader's
-//     compare of the epoch word can never mistake a recycled slot for
-//     its old occupant). The pool is fixed-size by construction — a
+//     retire them without the shard mutex. Every pool slot carries an
+//     epoch counter that advances by the pool size each reuse cycle; a
+//     node can only be taken in the epoch after the one it was retired
+//     in, which is what makes concurrent take/retire safe without locks
+//     (a stale reader's compare of the epoch word can never mistake a
+//     recycled slot for its old occupant). The pool is fixed-size by construction — a
 //     burst can no longer pin an unbounded node chain — and overflow
 //     simply drops nodes to the garbage collector (counted in
 //     Stats.NodesCapped).
@@ -163,8 +163,9 @@ func resolveIntakeRing(n int) int {
 // enqueueIntake is the lock-free admission path for an entry homed
 // wholly on shard s. The npending bump precedes the closed check (the
 // Dekker handshake described at the top of the file); the backout path
-// must re-run the drain-idle check because a Drain caller may have
-// observed the transient pending count and parked.
+// must re-run the drain-idle check and wake consumers, because a Drain
+// caller or a consumer's close+drain check may have observed the
+// transient pending count and parked.
 func (q *Queue) enqueueIntake(s *shard, m *Message, smask uint64, attempt uint32, lastErr error) error {
 	s.npending.Add(1)
 	if attempt == 0 && q.closed.Load() {
@@ -173,6 +174,10 @@ func (q *Queue) enqueueIntake(s *shard, m *Message, smask uint64, attempt uint32
 		if q.drainWaiters.Load() > 0 && q.isIdle() {
 			q.notifyEmpty()
 		}
+		// A consumer's close+drain check may have counted the transient
+		// entry and parked; nothing else will wake it, so wake every
+		// parked consumer to re-check (the closed path only).
+		q.wakeGlobal()
 		return ErrClosed
 	}
 	n := s.newEntry(m, smask, attempt, lastErr)
@@ -383,8 +388,9 @@ type poolSlot struct {
 // epochPool is a bounded MPMC pool recycling pending-list nodes across
 // the producer/consumer boundary without the shard mutex: the goroutine
 // resolving an entry (Complete, Release, or their batch forms) retires
-// its node, and producers take nodes on the enqueue path. Fixed capacity replaces the old free list's
-// growth-after-burst behavior — overflow drops nodes to the GC.
+// its node, and producers take nodes on the enqueue path. Fixed capacity
+// replaces the old free list's growth-after-burst behavior — overflow
+// drops nodes to the GC.
 type epochPool struct {
 	slots []poolSlot
 	mask  uint64

@@ -152,8 +152,8 @@ type Stats struct {
 	RingFallbacks      uint64 `json:"ring_fallbacks"`      // ring-full publishes completed under the shard lock
 	RingSpins          uint64 `json:"ring_spins"`          // producer spin iterations waiting for ring space
 	RingMaxOccupancy   int    `json:"ring_max_occupancy"`  // deepest intake-ring backlog met by a drain (max across shards)
-	NodesReclaimed     uint64 `json:"nodes_reclaimed"`     // pending-list nodes recycled through the epoch pools
-	NodesCapped        uint64 `json:"nodes_capped"`        // nodes dropped to the GC because an epoch pool was full
+	NodesReclaimed     uint64 `json:"nodes_reclaimed"`     // pending-list nodes retired into the epoch pools when their entries resolved (or expired or coalesced)
+	NodesCapped        uint64 `json:"nodes_capped"`        // nodes dropped to the GC at that retirement because an epoch pool was full
 	TraceSampled       uint64 `json:"trace_sampled"`       // admissions elected for lifecycle tracing (WithTrace)
 	TraceRecorded      uint64 `json:"trace_recorded"`      // trace events written into the flight-recorder rings
 	TraceDropped       uint64 `json:"trace_dropped"`       // trace events lost to ring overwrite or torn reads (detected at TraceSnapshot)
