@@ -50,8 +50,8 @@ func TestAllocsBatchRound(t *testing.T) {
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
-		for _, m := range msgs {
-			if err := q.admit(m); err != nil {
+		for i := range msgs {
+			if err := q.admit(&msgs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}

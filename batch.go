@@ -152,8 +152,8 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 	acquired := acqBuf[:0]
 	// take hands the dispatched node itself to the batch — no copy: the
 	// node returns to its pool when the entry is resolved. The result
-	// slice is sized at the first dispatch (npending cannot grow under
-	// s.mu), so a gated or fully conflicted scan allocates nothing.
+	// slice is allocated at the first dispatch, sized to what the shard
+	// can yield, so a gated or fully conflicted scan allocates nothing.
 	take := func(n *Entry) *Entry {
 		if es == nil {
 			// n itself is already unlinked, hence the +1.

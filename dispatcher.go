@@ -467,7 +467,7 @@ func (q *Queue) Enqueue(handler func(data any), opts ...EnqueueOption) error {
 		return err
 	}
 	// buildMessage assembled a fresh key slice; no defensive copy needed.
-	return q.admit(m)
+	return q.admit(&m)
 }
 
 // EnqueueWait appends a message like Enqueue but, when the queue is at
@@ -480,7 +480,7 @@ func (q *Queue) EnqueueWait(ctx context.Context, handler func(data any), opts ..
 	if err != nil {
 		return err
 	}
-	return q.admitWait(ctx, m)
+	return q.admitWait(ctx, &m)
 }
 
 // EnqueueMessage appends m to the queue without blocking; a full bounded
@@ -493,7 +493,7 @@ func (q *Queue) EnqueueMessage(m Message) error {
 		return err
 	}
 	m.Keys = cloneKeys(m.Keys)
-	return q.admit(m)
+	return q.admit(&m)
 }
 
 // EnqueueMessageWait appends m, blocking for capacity as EnqueueWait does.
@@ -503,7 +503,7 @@ func (q *Queue) EnqueueMessageWait(ctx context.Context, m Message) error {
 		return err
 	}
 	m.Keys = cloneKeys(m.Keys)
-	return q.admitWait(ctx, m)
+	return q.admitWait(ctx, &m)
 }
 
 // cloneKeys copies a caller-supplied key slice. The claim accounting
@@ -519,7 +519,7 @@ func cloneKeys(keys []Key) []Key {
 
 // admit performs the non-blocking admission of a validated message whose
 // key slice the queue owns.
-func (q *Queue) admit(m Message) error {
+func (q *Queue) admit(m *Message) error {
 	if q.closed.Load() {
 		return ErrClosed
 	}
@@ -527,11 +527,11 @@ func (q *Queue) admit(m Message) error {
 		q.g.rejected.Add(1)
 		return ErrFull
 	}
-	return q.enqueueReserved(&m, 0, nil)
+	return q.enqueueReserved(m, 0, nil)
 }
 
 // admitWait is admit with EnqueueWait's blocking capacity reservation.
-func (q *Queue) admitWait(ctx context.Context, m Message) error {
+func (q *Queue) admitWait(ctx context.Context, m *Message) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -543,7 +543,7 @@ func (q *Queue) admitWait(ctx context.Context, m Message) error {
 			return err
 		}
 	}
-	return q.enqueueReserved(&m, 0, nil)
+	return q.enqueueReserved(m, 0, nil)
 }
 
 // Validate checks and normalizes m exactly as admission would: exactly

@@ -122,8 +122,8 @@ type intake struct {
 	_    cpad
 
 	// Cold occupancy stats: adjacent on purpose, they are only bumped on
-	// publish/fallback paths that already own their cache traffic.
-	published atomic.Uint64 // lock-free publishes
+	// the ring-full paths. Lock-free publishes are not counted on the
+	// hot path: they are the claimed positions (tail) minus fallbacks.
 	fallbacks atomic.Uint64 // ring-full publishes completed under the shard lock
 	spins     atomic.Uint64 // ring-full spin iterations across producers
 }
@@ -237,7 +237,6 @@ func (q *Queue) publishIntake(s *shard, n *Entry) {
 publish:
 	sl.n = n
 	sl.seq.Store(pos + 1)
-	in.published.Add(1)
 }
 
 // drainIntake moves intake-ring entries into s's pending structures,
@@ -415,7 +414,8 @@ func (p *epochPool) init(size int) {
 	}
 }
 
-// get takes a recycled node, or allocates when the pool is empty.
+// get takes a recycled node, or allocates when the pool is empty. Either
+// way the node is cleared (put clears it) apart from its free mark.
 func (p *epochPool) get() *Entry {
 	for {
 		pos := p.head.Load()

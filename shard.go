@@ -254,8 +254,12 @@ func (s *shard) unlink(n *Entry) {
 // path). The entry records its pool, so resolving it — or expiring or
 // coalescing it away — returns the node here.
 func (s *shard) newEntry(m *Message, smask uint64, attempt uint32, lastErr error) *Entry {
-	n := s.pool.get()
-	*n = Entry{msg: *m, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos(), pool: &s.pool}
+	n := s.pool.get() // cleared, so only the nonzero fields are set
+	n.msg = *m
+	n.smask, n.attempt, n.err = smask, attempt, lastErr
+	n.enqAt = nowNanos()
+	n.free = false
+	n.pool = &s.pool
 	if !m.NotBefore.IsZero() {
 		n.notBefore = toNanos(m.NotBefore)
 	}

@@ -148,7 +148,7 @@ type Stats struct {
 	MaxPending         int    `json:"max_pending"`         // high-water mark of pending entries (summed per shard: an upper bound when shards > 1)
 	MaxKeySet          int    `json:"max_key_set"`         // largest synchronization key set seen
 	IntakeRing         int    `json:"intake_ring"`         // per-shard intake ring size (0 = mutex-only intake)
-	RingPublished      uint64 `json:"ring_published"`      // lock-free intake-ring publishes
+	RingPublished      uint64 `json:"ring_published"`      // lock-free intake-ring publishes (one still in flight included)
 	RingFallbacks      uint64 `json:"ring_fallbacks"`      // ring-full publishes completed under the shard lock
 	RingSpins          uint64 `json:"ring_spins"`          // producer spin iterations waiting for ring space
 	RingMaxOccupancy   int    `json:"ring_max_occupancy"`  // deepest intake-ring backlog met by a drain (max across shards)
@@ -204,8 +204,9 @@ func (q *Queue) Stats() Stats {
 			s.RingMaxOccupancy = c.maxRingOcc
 		}
 		s.Completed += sh.completed.Load()
-		s.RingPublished += sh.in.published.Load()
-		s.RingFallbacks += sh.in.fallbacks.Load()
+		fb := sh.in.fallbacks.Load()
+		s.RingPublished += sh.in.tail.Load() - fb
+		s.RingFallbacks += fb
 		s.RingSpins += sh.in.spins.Load()
 		s.NodesReclaimed += sh.pool.reclaimed.Load()
 		s.NodesCapped += sh.pool.capped.Load()
