@@ -331,7 +331,7 @@ func keyIn(acquired []Key, k Key) bool {
 // dead-letters it), and a merged deadline tightens the representative's
 // to the minimum, so Entry introspection reflects the strictest member.
 // Caller holds s.mu. Returns the first node not merged.
-func (q *Queue) coalesceRun(s *shard, e *Entry, n *Entry, barSeq uint64, scanned *int, budget int, now *int64) *Entry {
+func (q *Queue) coalesceRun(s *shard, e, n *Entry, barSeq uint64, scanned *int, budget int, now *int64) *Entry {
 	if q.coalesceMax > 0 && budget > q.coalesceMax-1 {
 		budget = q.coalesceMax - 1
 	}
