@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"sync/atomic"
 
 	"pdq"
 	"pdq/internal/sim"
@@ -25,12 +26,14 @@ const (
 	requests = 30_000
 )
 
-// state is one tenant's session table: plain maps, protected only by PDQ
-// key serialization.
+// state is one tenant's session table: one slot per session, protected
+// only by PDQ key serialization. Handlers of different sessions run in
+// parallel, so each touches only its own session's slots — a Go map
+// shared by all sessions would be a concurrent map write.
 type state struct {
-	events   map[int]int // session -> processed request count
-	lastSeen map[int]int // session -> last request sequence (order check)
-	ordered  bool
+	events     []int       // session -> processed request count
+	lastSeen   []int       // session -> last request sequence (order check)
+	misordered atomic.Bool // set by any session that sees a gap
 }
 
 func main() {
@@ -43,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		queues[tid] = q
-		states[tid] = &state{events: map[int]int{}, lastSeen: map[int]int{}, ordered: true}
+		states[tid] = &state{events: make([]int, sessions), lastSeen: make([]int, sessions)}
 	}
 	pool := pdq.ServeMux(context.Background(), mux, runtime.GOMAXPROCS(0))
 
@@ -62,7 +65,7 @@ func main() {
 		err := queues[tid].Enqueue(func(any) {
 			// In-order, exclusive per session: no locks needed.
 			if st.lastSeen[sid] != n-1 {
-				st.ordered = false
+				st.misordered.Store(true)
 			}
 			st.lastSeen[sid] = n
 			st.events[sid]++
@@ -97,8 +100,8 @@ func main() {
 		}
 		grand += total
 		fmt.Printf("  tenant %d: %6d processed, in-order=%v, last audit saw %d\n",
-			tid, total, st.ordered, snapshots[tid])
-		if !st.ordered {
+			tid, total, !st.misordered.Load(), snapshots[tid])
+		if st.misordered.Load() {
 			log.Fatal("per-session FIFO violated")
 		}
 	}
